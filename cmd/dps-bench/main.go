@@ -12,18 +12,20 @@
 //
 // The chaos experiment runs the scripted fault suite of internal/chaos
 // (crash bursts, restarts, partitions, loss windows, churn, structural
-// corruption) with the continuous structural-invariant checker attached;
-// -json emits per-scenario invariant verdicts and time-to-repair
-// distributions. The chaos-corruption experiment isolates the two
-// corruption presets (corruption, byzantine-state) so the benchmark
-// guard tracks the repair machinery's wall-clock on its own line.
+// corruption) on the cycle engine through the conformance harness
+// (internal/conform), with the continuous structural-invariant checker
+// attached; -json emits conform's report (per-scenario invariant sweeps
+// and time-to-repair distributions). The chaos-corruption experiment
+// isolates the two corruption presets (corruption, byzantine-state) so
+// the benchmark guard tracks the repair machinery's wall-clock on its
+// own line.
 //
-// The conform experiment runs that suite through the cross-engine
-// conformance harness (internal/conform): every scenario replays on the
-// cycle engine, the goroutine runtime and the TCP engine, judged by the
-// same invariant checker plus a differential delivered-set oracle. It is
-// wall-clock bound (live engines tick in real time), so like scale it is
-// excluded from -experiment all and must be selected explicitly.
+// The conform experiment runs that suite on all three engines: every
+// scenario replays on the cycle engine, the goroutine runtime and the TCP
+// engine, judged by the same invariant checker plus a differential
+// delivered-set oracle. It is wall-clock bound (live engines tick in real
+// time), so like scale it is excluded from -experiment all and must be
+// selected explicitly.
 //
 // The throughput experiment measures the sustained event pipeline on all
 // three engines, batched and unbatched (internal/conform.RunThroughput):
@@ -300,32 +302,13 @@ func registry() []experimentEntry {
 			return res, nil
 		}},
 		{"chaos", func(seed int64, scale float64, parallel int, cover bool) (renderable, error) {
-			opts := experiments.DefaultChaosOptions()
-			opts.Seed = seed
-			opts.Parallelism = parallel
-			opts.Nodes = scaleInt(opts.Nodes, scale, 50)
-			opts.Config.Cover = cover
-			res, err := experiments.RunChaos(opts)
-			if err != nil {
-				return nil, err
-			}
-			return res, nil
+			return runChaos(seed, scale, parallel, cover, nil)
 		}},
 		{"chaos-corruption", func(seed int64, scale float64, parallel int, cover bool) (renderable, error) {
-			opts := experiments.DefaultChaosOptions()
-			opts.Seed = seed
-			opts.Parallelism = parallel
-			opts.Nodes = scaleInt(opts.Nodes, scale, 50)
 			// Only the structural-corruption presets: the plain chaos
 			// experiment covers the whole suite, this line isolates the
 			// bounded-repair machinery for the regression guard.
-			opts.Scenarios = []string{"corruption", "byzantine-state"}
-			opts.Config.Cover = cover
-			res, err := experiments.RunChaos(opts)
-			if err != nil {
-				return nil, err
-			}
-			return res, nil
+			return runChaos(seed, scale, parallel, cover, []string{"corruption", "byzantine-state"})
 		}},
 		{"conform", func(seed int64, scale float64, parallel int, cover bool) (renderable, error) {
 			opts := conform.DefaultOptions()
@@ -375,6 +358,24 @@ func registry() []experimentEntry {
 			return res, nil
 		}},
 	}
+}
+
+// runChaos runs chaos presets (all of them when scenarios is empty) on
+// the cycle engine alone through the conformance harness, at 150 nodes ×
+// 2 subscriptions scaled, so every scenario exercises multi-level trees.
+func runChaos(seed int64, scale float64, parallel int, cover bool, scenarios []string) (renderable, error) {
+	opts := conform.DefaultOptions()
+	opts.Seed = seed
+	opts.Workers = parallel
+	opts.Nodes = scaleInt(150, scale, 50)
+	opts.Engines = []string{conform.EngineSim}
+	opts.Scenarios = scenarios
+	opts.Cover = cover
+	res, err := conform.Run(opts)
+	if err != nil {
+		return nil, err
+	}
+	return res, nil
 }
 
 func runFig3cd(seed int64, scale float64, parallel int, cover bool) (renderable, error) {

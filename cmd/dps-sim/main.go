@@ -10,35 +10,42 @@
 // worker per CPU); results are bit-identical to the sequential engine
 // for the same seed.
 //
-// -scenario switches to the chaos harness: the named fault-scenario
-// preset (crash bursts, restarts, partitions, loss windows, churn) runs
-// with the continuous structural-invariant checker attached, and the exit
-// status reports whether every scenario ended invariant-clean inside its
-// declared repair bound. Use "-scenario list" to enumerate presets (one
-// description line each, with the repair bound), "-scenario all" for the
-// suite, and -json for the machine-readable report (per-invariant
-// verdicts plus the p50/p99 time-to-repair distribution per fault kind).
-// A failing (scenario, engine) cell fails the run and is named on stderr.
+// -scenario switches to the chaos harness (internal/conform): the named
+// fault-scenario preset (crash bursts, restarts, partitions, loss
+// windows, churn, structural corruption) runs with the continuous
+// structural-invariant checker attached, and the exit status reports
+// whether every scenario ended invariant-clean inside its declared repair
+// bound. Use "-scenario list" to enumerate presets (one description line
+// each, with the repair bound), "-scenario all" for the suite, and -json
+// for the machine-readable report (conform.Result: per-engine invariant
+// sweeps plus the time-to-repair distribution per fault kind). A failing
+// (scenario, engine) cell fails the run and is named on stderr.
+//
+// The chaos harness runs the protocol variant it validates — root-based
+// traversal, leader communication, strict repair — on the suite's
+// workload, so -scenario rejects -traversal, -comm, -fanout,
+// -cross-fanout, -workload, -steps and -failure values other than their
+// defaults instead of silently ignoring them. Its population defaults to
+// 24 nodes × 2 subscriptions on every engine; -nodes and -subs override.
 //
 //	dps-sim -scenario dependability -nodes 150
 //	dps-sim -scenario all -json
 //
 // -engine selects the runtime a chaos scenario replays against: "sim"
-// (default) keeps the deterministic cycle-engine harness above; "live"
-// (goroutine runtime), "tcp" (real TCP transports on loopback) or "all"
-// switch to the cross-engine conformance harness (internal/conform),
-// which always runs the cycle engine alongside as the differential
-// reference and additionally judges delivered-set agreement. -tick sets
-// the live engines' wall-clock step. The exit status covers both the
-// invariant verdicts and the differential oracle.
+// (default) runs the deterministic cycle engine alone; "live" (goroutine
+// runtime), "tcp" (real TCP transports on loopback) or "all" add the live
+// engines, with the cycle engine alongside as the differential reference
+// that additionally judges delivered-set agreement. -tick sets the live
+// engines' wall-clock step. The exit status covers both the invariant
+// verdicts and the differential oracle.
 //
 //	dps-sim -scenario crash-burst -engine all -nodes 24
 //	dps-sim -scenario all -engine tcp -tick 5ms -json
 //
 // -cover enables the subscription-covering layer
-// (core.Config.CoverRouting) on every node — in the plain simulation, the
-// chaos harness and the conformance matrix alike. Covering rides on
-// leader-diffused groups, so the flag is rejected with -comm epidemic.
+// (core.Config.CoverRouting) on every node — in the plain simulation and
+// the chaos harness alike. Covering rides on leader-diffused groups, so
+// the flag is rejected with -comm epidemic.
 //
 //	dps-sim -scenario churn-wave -engine all -cover
 package main
@@ -135,24 +142,27 @@ func run() int {
 		return 0
 	}
 	if *scenario != "" {
-		if *engine != "sim" {
-			// The conformance harness has its own CI-sized population
-			// defaults (live engines pay real wall-clock and sockets per
-			// node); dps-sim's plain-simulation defaults only apply when
-			// the user set the flags explicitly.
-			set := make(map[string]bool)
-			flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
-			conformNodes, conformSubs := 0, 0
-			if set["nodes"] {
-				conformNodes = *nodes
+		// The plain-simulation knobs have no meaning for the chaos harness;
+		// refuse them loudly rather than run a different variant than asked.
+		for _, name := range []string{"traversal", "comm", "fanout", "cross-fanout", "workload", "steps", "failure"} {
+			if f := flag.Lookup(name); f.Value.String() != f.DefValue {
+				fmt.Fprintf(os.Stderr, "dps-sim: -%s is not supported with -scenario: the chaos harness runs root traversal, leader communication and the suite's own workload and timeline\n", name)
+				return 2
 			}
-			if set["subs"] {
-				conformSubs = *subs
-			}
-			return runConformance(*scenario, *engine, conformNodes, conformSubs, *eventEvery,
-				*seed, *parallel, *tick, *asJSON, *cover)
 		}
-		return runScenario(*scenario, cfgSpec, *nodes, *subs, *eventEvery, *seed, *parallel, *asJSON)
+		// One population default for every engine: the harness's own,
+		// unless -nodes/-subs were given explicitly.
+		set := make(map[string]bool)
+		flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+		scenarioNodes, scenarioSubs := 0, 0
+		if set["nodes"] {
+			scenarioNodes = *nodes
+		}
+		if set["subs"] {
+			scenarioSubs = *subs
+		}
+		return runScenario(*scenario, *engine, scenarioNodes, scenarioSubs, *eventEvery,
+			*seed, *parallel, *tick, *asJSON, *cover)
 	}
 
 	c := experiments.NewClusterParallel(cfgSpec, *seed, *parallel)
@@ -199,63 +209,14 @@ func run() int {
 	return 0
 }
 
-// runScenario runs one chaos preset (or all of them with "all" / lists
-// them with "list") under the continuous invariant checker, on the
-// protocol variant selected by -traversal/-comm/-fanout/-cross-fanout.
-// The preset timelines replace -steps/-failure; -workload is fixed to
-// the suite's default.
-func runScenario(name string, cfgSpec experiments.ConfigSpec, nodes, subs, eventEvery int,
-	seed int64, parallel int, asJSON bool) int {
-	opts := experiments.DefaultChaosOptions()
-	opts.Seed = seed
-	opts.Nodes = nodes
-	opts.SubsPerNode = subs
-	opts.EventEvery = eventEvery
-	opts.Parallelism = parallel
-	opts.Config = cfgSpec
-	if name != "all" {
-		opts.Scenarios = []string{name}
-	}
-	res, err := experiments.RunChaos(opts)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "dps-sim:", err)
-		return 2
-	}
-	if asJSON {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(res); err != nil {
-			fmt.Fprintln(os.Stderr, "dps-sim:", err)
-			return 1
-		}
-	} else {
-		fmt.Print(res.Render())
-	}
-	if !res.AllClean() {
-		// Name every failing scenario on stderr so -json runs and CI logs
-		// see the verdict without parsing the report.
-		for _, s := range res.Scenarios {
-			switch {
-			case !s.FinalClean:
-				fmt.Fprintf(os.Stderr, "dps-sim: FAIL %s/sim: final sweep dirty (%d violations)\n",
-					s.Scenario, s.FinalCheck.Total)
-			case !s.WithinBound:
-				fmt.Fprintf(os.Stderr, "dps-sim: FAIL %s/sim: repair bound %d exceeded (ttr max %d, %d unrepaired)\n",
-					s.Scenario, s.MaxTTR, s.TTR.Max, len(s.Unrepaired))
-			}
-		}
-		return 1
-	}
-	return 0
-}
-
-// runConformance replays chaos scenarios through the cross-engine
-// conformance harness: the named engines (plus the sim reference) run the
-// same fault timeline and workload, judged by the invariant checker and
-// the differential delivered-set oracle. Exit status 0 requires every
-// engine invariant-clean and every differential verdict passing. A zero
-// nodes or subs keeps the harness's own CI-sized default.
-func runConformance(scenario, engine string, nodes, subs, eventEvery int,
+// runScenario replays chaos scenarios through the conformance harness:
+// the named engines (plus the sim reference) run the same fault timeline
+// and workload, judged by the invariant checker and, for the live
+// engines, the differential delivered-set oracle. Exit status 0 requires
+// every engine invariant-clean inside its repair bound and every
+// differential verdict passing. A zero nodes or subs keeps the harness's
+// own default.
+func runScenario(scenario, engine string, nodes, subs, eventEvery int,
 	seed int64, parallel int, tick time.Duration, asJSON, cover bool) int {
 	opts := conform.DefaultOptions()
 	opts.Seed = seed

@@ -96,9 +96,6 @@ type Repair struct {
 
 // CheckerOptions parameterise the sweep.
 type CheckerOptions struct {
-	// Every is the check period in steps; 0 disables periodic sweeps
-	// (forced checks still run).
-	Every int64
 	// LeaderMode enables the leader-specific clauses of InvViewSymmetry
 	// (live leader per active group). Set it when the population runs
 	// leader-based communication.
@@ -108,10 +105,9 @@ type CheckerOptions struct {
 	MaxSamples int
 }
 
-// Checker continuously validates the legal-configuration invariants. It
-// participates in the engine step lifecycle as a sim.Service: register it
-// with Engine.AddService and Enable it once the overlay has formed.
-// Checks run on the coordinator after EndStep, read-only, consuming no
+// Checker validates the legal-configuration invariants on every Check
+// call; Enable it once the overlay has formed so fault marks open repair
+// intervals. Checks run between engine steps, read-only, consuming no
 // engine randomness — a checked run's protocol trace is bit-identical to
 // an unchecked one.
 type Checker struct {
@@ -138,7 +134,7 @@ func NewChecker(target Target, opts CheckerOptions) *Checker {
 	return &Checker{target: target, opts: opts}
 }
 
-// Enable switches periodic sweeps on or off (off during overlay
+// Enable switches fault marking on or off (off during overlay
 // construction, on for the scenario).
 func (c *Checker) Enable(on bool) { c.enabled = on }
 
@@ -151,16 +147,6 @@ func (c *Checker) MarkFault(step int64) { c.MarkFaultKinds(step, nil) }
 func (c *Checker) MarkFaultKinds(step int64, kinds []string) {
 	if c.enabled {
 		c.pending = append(c.pending, pendingFault{step: step, kinds: kinds})
-	}
-}
-
-// BeginStep implements sim.Service.
-func (c *Checker) BeginStep(step int64) {}
-
-// EndStep implements sim.Service: runs the periodic sweep.
-func (c *Checker) EndStep(step int64) {
-	if c.enabled && c.opts.Every > 0 && step%c.opts.Every == 0 {
-		c.Check(step)
 	}
 }
 

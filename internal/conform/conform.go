@@ -34,6 +34,11 @@
 //     tolerance for false deliveries (an event delivered to a node whose
 //     subscriptions never matched it).
 //
+// The runner is the repo's only chaos driver: with Engines set to the sim
+// engine alone it is the deterministic chaos suite on the cycle engine
+// (dps-sim -scenario, dps-bench -experiment chaos), bit-identical at any
+// worker count for a given seed.
+//
 // A disagreement here is not noise to tune away: the fault topology is
 // exact on every engine, so a live engine that fails to converge to a
 // legal configuration, or systematically misses deliveries the reference
@@ -162,8 +167,12 @@ type Options struct {
 	EventEvery int `json:"event_every"`
 	// CheckEvery is the invariant sweep period in steps.
 	CheckEvery int64 `json:"check_every"`
-	// Scenarios names the chaos presets to run; empty runs the suite.
+	// Scenarios names the chaos presets to run; empty runs the suite
+	// unless Custom is set.
 	Scenarios []string `json:"scenarios,omitempty"`
+	// Custom appends ad-hoc scenarios (fuzz/property harnesses) to the
+	// selected presets. Each must pass chaos.Scenario.Validate.
+	Custom []chaos.Scenario `json:"custom,omitempty"`
 	// Engines names the engines to run; empty runs all three. The sim
 	// reference always runs (the differential oracle needs it) and is
 	// reported even when not requested.
@@ -172,9 +181,10 @@ type Options struct {
 	// live engines. Defaults to 2ms — fast enough for CI, slow enough
 	// that a loaded machine still ticks every peer.
 	TickEvery time.Duration `json:"tick_every_ns"`
-	// ConvergeSlack multiplies a scenario's convergence window on the
-	// asynchronous engines (their repairs pay real scheduling delays the
-	// lockstep engine never sees). Defaults to 3.
+	// ConvergeSlack multiplies a scenario's convergence window and repair
+	// bound on the asynchronous engines (their repairs pay real scheduling
+	// delays the lockstep engine never sees); the sim engine always gets
+	// the scenario's own figures. Defaults to 3.
 	ConvergeSlack float64 `json:"converge_slack"`
 	// LossMargin bounds how far a live engine's delivered sets may fall
 	// short of the reference's and still pass the differential oracle: on

@@ -1,7 +1,6 @@
-package experiments
+package conform
 
 import (
-	"encoding/json"
 	"fmt"
 	"math/rand"
 	"os"
@@ -55,39 +54,32 @@ func TestCorruptionPropertyRandomOpsConverge(t *testing.T) {
 		if err := sc.Validate(); err != nil {
 			t.Fatalf("seed %d: generated scenario invalid: %v", seed, err)
 		}
-		var base []byte
+		var base string
 		for _, workers := range []int{1, 2, 4} {
 			opts := chaosTestOptions()
 			opts.Seed = seed
-			opts.Parallelism = workers
+			opts.Workers = workers
 			opts.Custom = []chaos.Scenario{sc}
-			res, err := RunChaos(opts)
-			if err != nil {
-				t.Fatalf("seed %d workers %d: %v", seed, workers, err)
+			runs := simRuns(t, opts)
+			if len(runs) != 1 {
+				t.Fatalf("seed %d: ran %d scenarios, want only the custom one", seed, len(runs))
 			}
-			if len(res.Scenarios) != 1 {
-				t.Fatalf("seed %d: ran %d scenarios, want only the custom one",
-					seed, len(res.Scenarios))
-			}
-			s := res.Scenarios[0]
-			if !s.FinalClean {
+			r := runs[0]
+			if !r.FinalClean {
 				t.Errorf("seed %d workers %d: final sweep dirty: %v; sample %+v",
-					seed, workers, s.FinalCheck.ByInvariant, s.FinalCheck.Sample)
+					seed, workers, r.FinalCheck.ByInvariant, r.FinalCheck.Sample)
 			}
-			if len(s.Unrepaired) > 0 {
+			if len(r.Unrepaired) > 0 {
 				t.Errorf("seed %d workers %d: %d faults never repaired (steps %v)",
-					seed, workers, len(s.Unrepaired), s.Unrepaired)
+					seed, workers, len(r.Unrepaired), r.Unrepaired)
 			}
-			if len(s.Applied) == 0 {
+			if len(r.Applied) == 0 {
 				t.Errorf("seed %d workers %d: no corruption applied", seed, workers)
 			}
-			raw, err := json.Marshal(s)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if base == nil {
+			raw := replayJSON(t, runs)
+			if base == "" {
 				base = raw
-			} else if string(raw) != string(base) {
+			} else if raw != base {
 				t.Errorf("seed %d workers %d: corruption report differs from sequential run",
 					seed, workers)
 			}
@@ -102,23 +94,17 @@ func TestCorruptionPropertyNightly(t *testing.T) {
 		t.Skip("nightly fuzz; set CHAOS_NIGHTLY=1 to run")
 	}
 	for seed := int64(1); seed <= 5; seed++ {
-		sc := randomCorruptionScenario(seed*7919, 12)
-		opts := DefaultChaosOptions()
+		opts := chaosNightlyOptions()
 		opts.Seed = seed
-		opts.Custom = []chaos.Scenario{sc}
-		opts.Scenarios = []string{} // only the fuzz scenario
-		res, err := RunChaos(opts)
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		s := res.Scenarios[0]
-		if !s.FinalClean {
+		opts.Custom = []chaos.Scenario{randomCorruptionScenario(seed*7919, 12)}
+		r := simRuns(t, opts)[0]
+		if !r.FinalClean {
 			t.Errorf("seed %d: final sweep dirty: %v; sample %+v",
-				seed, s.FinalCheck.ByInvariant, s.FinalCheck.Sample)
+				seed, r.FinalCheck.ByInvariant, r.FinalCheck.Sample)
 		}
-		if len(s.Unrepaired) > 0 {
+		if len(r.Unrepaired) > 0 {
 			t.Errorf("seed %d: %d faults never repaired (steps %v)",
-				seed, len(s.Unrepaired), s.Unrepaired)
+				seed, len(r.Unrepaired), r.Unrepaired)
 		}
 	}
 }

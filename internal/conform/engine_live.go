@@ -64,7 +64,7 @@ func (e *liveEngine) AwaitStep(step int64) {
 }
 
 func (e *liveEngine) buildNode() *core.Node {
-	cfg := nodeConfig(aliveDirectory{Directory: e.dir, alive: e.hub.Alive}, e.batch, e.cover)
+	cfg := nodeConfig(core.LivenessDirectory{Directory: e.dir, Alive: e.hub.Alive}, e.batch, e.cover)
 	node, err := core.NewNode(cfg)
 	if err != nil {
 		panic(fmt.Sprintf("conform: NewNode: %v", err)) // static config

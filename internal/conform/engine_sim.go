@@ -8,11 +8,11 @@ import (
 	"github.com/dps-overlay/dps/internal/sim"
 )
 
-// simEngine is the deterministic reference: the cycle engine with the
-// stepped directory, exactly the substrate the chaos suite validated in
-// PR 4. AwaitStep *drives* the simulation (the other engines merely wait
-// on their clocks), so a conformance run on it is a pure function of
-// (options, scenario).
+// simEngine is the deterministic reference and, run alone, the chaos
+// suite's engine: the cycle engine with the stepped directory. AwaitStep
+// *drives* the simulation (the other engines merely wait on their
+// clocks), so a conformance run on it is a pure function of (options,
+// scenario).
 type simEngine struct {
 	*sim.Engine
 
@@ -63,7 +63,7 @@ func (e *simEngine) AwaitStep(step int64) {
 }
 
 func (e *simEngine) buildNode() *core.Node {
-	cfg := nodeConfig(aliveDirectory{Directory: e.dir, alive: e.Engine.Alive}, e.batch, e.cover)
+	cfg := nodeConfig(core.LivenessDirectory{Directory: e.dir, Alive: e.Engine.Alive}, e.batch, e.cover)
 	node, err := core.NewNode(cfg)
 	if err != nil {
 		panic(fmt.Sprintf("conform: NewNode: %v", err)) // static config

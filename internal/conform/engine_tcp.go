@@ -137,7 +137,7 @@ func (e *tcpEngine) AliveCount() int {
 // every live peer (both address-book directions).
 func (e *tcpEngine) spawn(id sim.NodeID) *tcpPeer {
 	dc := tcpnet.DialDirectory(e.dirSrv.Addr())
-	cfg := nodeConfig(aliveDirectory{Directory: dc, alive: e.alive}, e.batch, e.cover)
+	cfg := nodeConfig(core.LivenessDirectory{Directory: dc, Alive: e.alive}, e.batch, e.cover)
 	node, err := core.NewNode(cfg)
 	if err != nil {
 		panic(fmt.Sprintf("conform: NewNode: %v", err)) // static config

@@ -2,8 +2,59 @@ package conform
 
 import (
 	"os"
+	"runtime"
 	"testing"
 )
+
+// chaosNightlyOptions is the nightly chaos population on the cycle
+// engine: large enough that every scenario exercises multi-level trees.
+func chaosNightlyOptions() Options {
+	opts := DefaultOptions()
+	opts.Nodes = 150
+	opts.Engines = []string{EngineSim}
+	return opts
+}
+
+// TestChaosNightlySuite is the long-run chaos job: every scenario preset
+// on the cycle engine at three seeds, plus replay equivalence of the full
+// suite at workers 1, 2 and NumCPU. It only runs when CHAOS_NIGHTLY=1
+// (the nightly CI cron); the PR workflow keeps the short variants in
+// chaos_test.go.
+func TestChaosNightlySuite(t *testing.T) {
+	if os.Getenv("CHAOS_NIGHTLY") == "" {
+		t.Skip("nightly suite; set CHAOS_NIGHTLY=1 to run")
+	}
+	for _, seed := range []int64{1, 2, 3} {
+		opts := chaosNightlyOptions()
+		opts.Seed = seed
+		for _, r := range simRuns(t, opts) {
+			if !r.FinalClean {
+				t.Errorf("seed %d %s: final sweep dirty: %d violations %v; sample %+v",
+					seed, r.Scenario, r.FinalCheck.Total, r.FinalCheck.ByInvariant, r.FinalCheck.Sample)
+			}
+			if r.TTR.Samples == 0 {
+				t.Errorf("seed %d %s: no repairs closed", seed, r.Scenario)
+			}
+		}
+	}
+
+	// Replay equivalence of the whole suite across worker counts.
+	run := func(workers int) string {
+		opts := chaosNightlyOptions()
+		opts.Workers = workers
+		return replayJSON(t, simRuns(t, opts))
+	}
+	counts := []int{1, 2}
+	if n := runtime.NumCPU(); n > 2 {
+		counts = append(counts, n)
+	}
+	base := run(counts[0])
+	for _, w := range counts[1:] {
+		if got := run(w); got != base {
+			t.Errorf("workers=%d: chaos suite report differs from sequential run", w)
+		}
+	}
+}
 
 // TestConformNightlyMatrix is the long-run conformance job — the
 // acceptance matrix of the cross-engine harness:

@@ -2,7 +2,6 @@ package conform
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 	"sync"
 	"time"
@@ -259,32 +258,6 @@ func (p *population) forget(id sim.NodeID) []filter.Subscription {
 
 func (p *population) durable(id sim.NodeID) []filter.Subscription {
 	return p.subs[id]
-}
-
-// aliveDirectory wraps a deployment directory with engine liveness for
-// the Contact walk, exactly as the experiment cluster does: the paper
-// locates entry points with random walks over live nodes, so a registry
-// draw that lands on a corpse retries (reporting the corpse) rather than
-// returning a node it just proved dead. The alive func must be safe for
-// the goroutine the directory is called from (node goroutines on live
-// engines).
-type aliveDirectory struct {
-	core.Directory
-	alive func(sim.NodeID) bool
-}
-
-func (d aliveDirectory) Contact(attr string, rng *rand.Rand) (sim.NodeID, bool) {
-	for i := 0; i < 16; i++ {
-		last, ok := d.Directory.Contact(attr, rng)
-		if !ok {
-			return 0, false
-		}
-		if d.alive(last) {
-			return last, true
-		}
-		d.Directory.DropContact(attr, last)
-	}
-	return 0, false
 }
 
 // subscriptionPlan is the two-wave bootstrap order shared by every

@@ -520,8 +520,17 @@ func (n *membershipSys) walkFrom(m *membership, from sim.NodeID, f findGroup) {
 	if n.cfg.Comm == LeaderBased && !m.isLeaderHere(n.ID()) && m.leader != 0 &&
 		!n.suspected[m.leader] &&
 		(!n.cfg.StrictRepair || m.leader != f.Subscriber) {
+		// A walk the root leader routed down to us as a contact of a group
+		// we do not host falls back to our root mirror with the exact shape
+		// of a leader deferral, and a root has no parent contacts for the
+		// route-down exclusion below to recognise it by. It is a stale
+		// branch contact, not a deference cycle: treating it as one would
+		// depose the leader on every probe walk and keep the mirror
+		// leaderless forever.
+		staleContact := n.cfg.StrictRepair && m.isRoot && from == m.leader &&
+			!f.At.IsZero() && n.groups[f.At.Key()] == nil
 		if n.cfg.StrictRepair && from == m.leader && from != n.ID() &&
-			!has(m.parent.Nodes, from) {
+			!has(m.parent.Nodes, from) && !staleContact {
 			// Leadership deference cycle: the walk came from the very node
 			// we would forward it to, so each side believes the other
 			// leads — crossed duplicate-instance merges can leave two
@@ -551,6 +560,11 @@ func (n *membershipSys) walkFrom(m *membership, from sim.NodeID, f findGroup) {
 				return
 			}
 		} else {
+			if staleContact {
+				// Make the leader drop us from that branch before the walk
+				// returns to it, so its next route-down picks a real contact.
+				n.send(from, leave{AF: f.At, Member: n.ID()})
+			}
 			f.Hops++
 			f.At = m.af
 			n.send(m.leader, f)

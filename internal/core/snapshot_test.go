@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"github.com/dps-overlay/dps/internal/filter"
+	"github.com/dps-overlay/dps/internal/sim"
 )
 
 // TestStructuralSnapshotIsDeepCopy pins the snapshot contract: the result
@@ -107,4 +108,52 @@ func TestLeadershipDeferenceCycleRepair(t *testing.T) {
 		t.Fatalf("legacy protocol unexpectedly resolved the cycle: m2→%d m3→%d", m2.leader, m3.leader)
 	}
 	_ = c
+}
+
+// TestRootMirrorStaleContactWalkKeepsLeader pins the StrictRepair
+// handling of a walk the root leader routes down to a stale branch
+// contact that mirrors the root. The contact does not host the addressed
+// group, so the walk falls back to its root mirror with the shape of a
+// deferral from its own leader; it must neither read that as a
+// leadership deference cycle (deposing the leader and bouncing the walk,
+// as every periodic probe would do again) nor leave the stale contact in
+// the leader's branch.
+func TestRootMirrorStaleContactWalkKeepsLeader(t *testing.T) {
+	c := newCluster(t, 3, func(cfg *Config) { cfg.StrictRepair = true })
+	c.subscribe(1, "a>200 && a<300") // tree owner and root leader
+	c.settle(20)
+	c.subscribe(2, "a>10 && a<50") // its walk passes the root: recruited as mirror
+	c.settle(60)
+	c.subscribe(3, "a>400 && a<500")
+	c.settle(60)
+
+	rootKey := filter.UniversalFilter("a").Key()
+	x := filter.MustAttrFilter("a", filter.Gt("a", 400), filter.Lt("a", 500))
+	root1, mirror := c.nodes[1].group(rootKey), c.nodes[2].group(rootKey)
+	if root1 == nil || !root1.isLeaderHere(1) {
+		t.Fatal("node 1 does not lead the root")
+	}
+	if mirror == nil || mirror.leader != 1 {
+		t.Fatalf("node 2 is not a root mirror deferring to node 1 (%+v)", mirror)
+	}
+	if c.nodes[2].group(x.Key()) != nil {
+		t.Fatal("node 2 hosts the group it must be a stale contact for")
+	}
+	// Make node 2 a stale contact of node 3's group at the root leader,
+	// then replay the route-down of node 3's probe walk to it.
+	b := root1.branches[x.Key()]
+	if b == nil {
+		t.Fatal("root has no branch for node 3's group")
+	}
+	b.Nodes = []sim.NodeID{2}
+	c.engine.Env(1).Send(2, findGroup{AF: x, At: x, Subscriber: 3, Mode: RootBased, Probe: true, Hops: 1})
+	c.settle(3)
+
+	if mirror.leader != 1 {
+		t.Fatalf("root mirror deposed its leader on a stale-contact walk: leader = %d", mirror.leader)
+	}
+	got := root1.branches[x.Key()]
+	if got == nil || has(got.Nodes, 2) || !has(got.Nodes, 3) {
+		t.Fatalf("root branch for node 3's group = %+v, want the stale contact 2 replaced by 3", got)
+	}
 }

@@ -238,3 +238,40 @@ func (d *SteppedDirectory) dropLocked(attr string, node sim.NodeID) {
 	}
 	d.contacts[attr] = append(list[:i], list[i+1:]...)
 }
+
+// LivenessDirectory wraps a deployment directory with engine liveness for
+// the Contact walk: the paper locates contact points with random walks,
+// which traverse live nodes and therefore never return a crashed one.
+// Without it, the registry accumulates dead members that nobody ever
+// suspects (in leader mode only leaders monitor regular members) and
+// generic publications enter the tree through corpses. Alive must be safe
+// for the goroutine the directory is called from (node goroutines on the
+// live engines).
+type LivenessDirectory struct {
+	Directory
+	Alive func(sim.NodeID) bool
+}
+
+var _ Directory = LivenessDirectory{}
+
+// Contact retries the registry draw a bounded number of times until it
+// finds a live entry point, mimicking a random walk over live nodes.
+// Observed corpses are reported to the directory; under the stepped
+// directory the drop commits at the end of the step, so a dead entry can
+// linger for the retries of one step — exactly one walk's worth of wasted
+// hops, as in the paper's model. A walk that saw only corpses reports no
+// entry point at all (the caller's retry machinery fires later), never a
+// node it just proved dead.
+func (d LivenessDirectory) Contact(attr string, rng *rand.Rand) (sim.NodeID, bool) {
+	for i := 0; i < 16; i++ {
+		last, ok := d.Directory.Contact(attr, rng)
+		if !ok {
+			return 0, false
+		}
+		if d.Alive(last) {
+			return last, true
+		}
+		d.Directory.DropContact(attr, last)
+	}
+	return 0, false
+}

@@ -10,7 +10,6 @@ package experiments
 
 import (
 	"fmt"
-	"math/rand"
 	"sync"
 	"sync/atomic"
 
@@ -67,43 +66,6 @@ func PaperConfigs() []ConfigSpec {
 	}
 }
 
-// liveDirectory wraps the shared directory with engine liveness: the
-// paper locates contact points with random walks, which traverse live
-// nodes and therefore never return a crashed one. Without this, the
-// registry accumulates dead members that nobody ever suspects (in leader
-// mode only leaders monitor regular members) and generic publications
-// enter the tree through corpses.
-type liveDirectory struct {
-	core.Directory
-	alive func(sim.NodeID) bool
-}
-
-// Contact retries the registry draw a bounded number of times until it
-// finds a live entry point, mimicking a random walk over live nodes.
-// Observed corpses are reported to the directory; under the stepped
-// directory the drop commits at the end of the step, so a dead entry can
-// linger for the retries of one step — exactly one walk's worth of wasted
-// hops, as in the paper's model. A walk that saw only corpses reports no
-// entry point at all (the caller's retry machinery fires later), never a
-// node it just proved dead.
-func (d liveDirectory) Contact(attr string, rng *rand.Rand) (sim.NodeID, bool) {
-	for i := 0; i < 16; i++ {
-		last, ok := d.Directory.Contact(attr, rng)
-		if !ok {
-			return 0, false
-		}
-		if d.alive(last) {
-			return last, true
-		}
-		d.Directory.DropContact(attr, last)
-	}
-	return 0, false
-}
-
-// Owner resolves dead owners to a live co-owner claim where possible by
-// simply reporting them; ownership healing is the protocol's job.
-var _ core.Directory = liveDirectory{}
-
 // Cluster is the experiment substrate: a cycle engine running DPS nodes
 // plus the bookkeeping every figure needs — an oracle mirror of all
 // subscriptions (for expected-recipient sets), traffic counters, and a
@@ -130,11 +92,6 @@ type Cluster struct {
 	// stays seed-deterministic at any worker count.
 	treeForwards int64
 
-	// subsByNode remembers each node's durable subscriptions, so a chaos
-	// restart can bring the identity back re-issuing them and a graceful
-	// leave can withdraw them.
-	subsByNode map[sim.NodeID][]filter.Subscription
-
 	mu        sync.Mutex
 	spec      ConfigSpec
 	seed      int64
@@ -148,15 +105,14 @@ type Cluster struct {
 // way.
 func NewCluster(spec ConfigSpec, seed int64) *Cluster {
 	c := &Cluster{
-		Dir:        core.NewSteppedDirectory(),
-		Nodes:      make(map[sim.NodeID]*core.Node),
-		Registry:   metrics.NewRegistry(),
-		Tracker:    metrics.NewDeliveryTracker(),
-		Oracle:     semtree.New(),
-		Contacted:  make(map[core.EventID]map[sim.NodeID]bool),
-		subsByNode: make(map[sim.NodeID][]filter.Subscription),
-		spec:       spec,
-		seed:       seed,
+		Dir:       core.NewSteppedDirectory(),
+		Nodes:     make(map[sim.NodeID]*core.Node),
+		Registry:  metrics.NewRegistry(),
+		Tracker:   metrics.NewDeliveryTracker(),
+		Oracle:    semtree.New(),
+		Contacted: make(map[core.EventID]map[sim.NodeID]bool),
+		spec:      spec,
+		seed:      seed,
 	}
 	c.Engine = sim.NewEngine(sim.Config{
 		Seed: seed,
@@ -205,7 +161,7 @@ func (c *Cluster) AddNode() sim.NodeID {
 // hooks and metrics under the given id (fresh spawn or restart).
 func (c *Cluster) buildNode(id sim.NodeID) *core.Node {
 	cfg := core.DefaultConfig()
-	cfg.Directory = liveDirectory{Directory: c.Dir, alive: c.Engine.Alive}
+	cfg.Directory = core.LivenessDirectory{Directory: c.Dir, Alive: c.Engine.Alive}
 	c.spec.apply(&cfg)
 	if c.MutateConfig != nil {
 		c.MutateConfig(&cfg)
@@ -230,43 +186,6 @@ func (c *Cluster) buildNode(id sim.NodeID) *core.Node {
 	return node
 }
 
-// RestartNode revives a crashed node under its old id with a fresh
-// protocol instance that re-issues the identity's durable subscriptions
-// (the fail-recovery model: protocol state is lost, the subscription
-// intent survives the reboot). The oracle never forgot the member — its
-// expected-recipient sets filter by liveness at publish time — so only
-// the protocol node is rebuilt.
-func (c *Cluster) RestartNode(id sim.NodeID) {
-	node := c.buildNode(id)
-	if err := c.Engine.Restart(id, node); err != nil {
-		panic(fmt.Sprintf("experiments: engine.Restart: %v", err))
-	}
-	c.Nodes[id] = node
-	for _, sub := range c.subsByNode[id] {
-		if err := node.Subscribe(sub); err != nil {
-			panic(fmt.Sprintf("experiments: re-subscribe after restart: %v", err))
-		}
-	}
-}
-
-// LeaveNode makes a live node withdraw every subscription it holds — a
-// graceful departure from all its groups (the node keeps running). The
-// member leaves the oracle too: events published afterwards no longer
-// expect it.
-func (c *Cluster) LeaveNode(id sim.NodeID) {
-	node := c.Nodes[id]
-	if node == nil {
-		return
-	}
-	for _, sub := range c.subsByNode[id] {
-		if err := node.Unsubscribe(sub); err != nil {
-			panic(fmt.Sprintf("experiments: unsubscribe on leave: %v", err))
-		}
-	}
-	delete(c.subsByNode, id)
-	c.Oracle.RemoveMember(semtree.MemberID(id))
-}
-
 // Subscribe registers the subscription at the node and mirrors it in the
 // oracle.
 func (c *Cluster) Subscribe(id sim.NodeID, sub filter.Subscription) error {
@@ -276,7 +195,6 @@ func (c *Cluster) Subscribe(id sim.NodeID, sub filter.Subscription) error {
 	if _, err := c.Oracle.Subscribe(semtree.MemberID(id), sub); err != nil {
 		return err
 	}
-	c.subsByNode[id] = append(c.subsByNode[id], sub)
 	return nil
 }
 
