@@ -19,7 +19,7 @@
 //     draws victims from its own seeded stream over sorted live ids, and
 //     every engine exposes the same fault primitives (kill, restart under
 //     the old identity, link cuts, partition classes, loss windows)
-//     through the FaultTarget surface;
+//     through the chaos.FaultSurface of its host;
 //   - the same workload drives every engine: an identical subscription
 //     plan, identical churn draws, identical tracked events from
 //     identical publishers;
@@ -46,27 +46,22 @@
 package conform
 
 import (
+	"fmt"
 	"time"
 
 	"github.com/dps-overlay/dps/internal/chaos"
 	"github.com/dps-overlay/dps/internal/core"
-	"github.com/dps-overlay/dps/internal/filter"
 	"github.com/dps-overlay/dps/internal/sim"
 )
 
-// FaultTarget is the engine-level fault surface a conformance engine
-// exposes; it is exactly the surface the chaos injector drives, shared
-// with the cycle engine. (The alias keeps one definition: sim.Engine,
-// livenet.Hub and the tcp harness all satisfy it.)
-type FaultTarget = chaos.FaultSurface
-
-// Engine is one runtime under conformance test. Implementations wrap the
-// cycle simulator, the livenet hub, or a tcpnet deployment; the runner
-// drives every method from a single goroutine, so implementations only
-// need internal locking where their own background goroutines (peers,
-// transports) touch shared state.
-type Engine interface {
-	FaultTarget
+// host is one runtime under conformance test, reduced to what differs
+// per runtime: the fault surface, the clock, bootstrap directories, and
+// running a protocol node under an id. Implementations wrap the cycle
+// simulator, the livenet hub, or a tcpnet deployment. Everything a node
+// does for the harness — subscribing, publishing, snapshots, corruption,
+// restarts, churn — is written once, on the driver, in terms of do.
+type host interface {
+	chaos.FaultSurface
 
 	// Name identifies the engine in reports: "sim", "live" or "tcp".
 	Name() string
@@ -76,44 +71,18 @@ type Engine interface {
 	// their wall-clock tickers.
 	AwaitStep(step int64)
 
-	// AddNode spawns one fresh protocol node and returns its id. Ids are
-	// sequential from 1, so identical call sequences yield identical id
-	// assignments on every engine — the property the cross-engine fault
-	// determinism rests on.
-	AddNode() sim.NodeID
+	// directory returns the bootstrap directory for the node about to
+	// start under id, wrapped so it hands out live contacts only.
+	directory(id sim.NodeID) core.Directory
 
-	// Subscribe registers a subscription at a live node (on the node's
-	// own goroutine for live engines) and records it as durable: a later
-	// Restart of the identity re-issues it.
-	Subscribe(id sim.NodeID, sub filter.Subscription) error
+	// start runs node under id: a fresh identity, or (restart) a crashed
+	// one revived under its old id.
+	start(id sim.NodeID, node *core.Node, restart bool) error
 
-	// Publish injects a tracked event at a live node.
-	Publish(id sim.NodeID, ev core.EventID, event filter.Event) error
-
-	// PublishMany injects a run of tracked events at one live node in a
-	// single scheduling round (one Do on the live engines) — the
-	// throughput experiment's bulk path. evs and events are parallel.
-	PublishMany(id sim.NodeID, evs []core.EventID, events []filter.Event) error
-
-	// Restart revives a crashed identity with a fresh protocol instance
-	// re-issuing its durable subscriptions (chaos.Population).
-	Restart(id sim.NodeID)
-	// Join adds one fresh subscriber with the population's per-node
-	// subscription count (chaos.Population).
-	Join() sim.NodeID
-	// Leave withdraws all of a node's subscriptions gracefully
-	// (chaos.Population).
-	Leave(id sim.NodeID)
-
-	// StructuralSnapshot returns deep-copied membership snapshots of one
-	// live node — the quiesce-window read feeding the invariant checker.
-	// A node that crashed between AliveIDs and this call returns nil.
-	StructuralSnapshot(id sim.NodeID) []core.MembershipSnapshot
-
-	// Corrupt applies a structural corruption op to one live node
-	// (chaos.Corruptor), on the node's own goroutine for live engines.
-	// Returns false when the node is dead or ineligible for the op.
-	Corrupt(id sim.NodeID, op core.CorruptionOp) bool
+	// do runs fn on the node's own goroutine and waits for it (inline on
+	// the cycle engine, whose nodes are only touched between steps). It
+	// returns an error, without running fn, when id is dead.
+	do(id sim.NodeID, fn func()) error
 
 	// TreeOwner reports the directory's current owner of an attribute
 	// tree (chaos.Target).
@@ -126,10 +95,8 @@ type Engine interface {
 	Close()
 }
 
-// Every conformance engine is a chaos.Corruptor: the injector discovers
-// the corruption surface on the engine itself, so corruption scenarios
-// run on all three runtimes.
-var _ chaos.Corruptor = Engine(nil)
+// errDead is do's refusal for a node that is not running.
+func errDead(id sim.NodeID) error { return fmt.Errorf("conform: node %d is dead", id) }
 
 // EngineStats are the per-engine drop counters reported with each run.
 type EngineStats struct {

@@ -361,11 +361,12 @@ func TestRecorderFalseDeliveryDetection(t *testing.T) {
 	}
 }
 
-// TestEngineContractParity exercises the non-sim engines' population
-// surface directly — restart re-issuing durable subscriptions, join
-// allocating the next id, leave withdrawing — without a full scenario.
+// TestEngineContractParity exercises every engine's population surface
+// directly — the dead-node contract, restart re-issuing durable
+// subscriptions, join allocating the next id, leave withdrawing — without
+// a full scenario.
 func TestEngineContractParity(t *testing.T) {
-	for _, name := range []string{EngineLive, EngineTCP} {
+	for _, name := range EngineNames() {
 		t.Run(name, func(t *testing.T) {
 			opts := DefaultOptions()
 			opts.TickEvery = time.Millisecond
@@ -394,8 +395,24 @@ func TestEngineContractParity(t *testing.T) {
 			if got := e.AliveIDs(); len(got) != 1 || got[0] != b {
 				t.Fatalf("AliveIDs after kill = %v", got)
 			}
+			// A dead node refuses everything and its durable
+			// subscriptions stay exactly as they were.
 			if snaps := e.StructuralSnapshot(a); snaps != nil {
 				t.Error("snapshot of a dead node is non-nil")
+			}
+			if err := e.Subscribe(a, sub); err == nil {
+				t.Error("subscribe on a dead node succeeded")
+			}
+			ev, _ := filter.ParseEvent("x=7")
+			if err := e.Publish(a, 1, ev); err == nil {
+				t.Error("publish on a dead node succeeded")
+			}
+			if e.Corrupt(a, core.CorruptionOp{Kind: core.CorruptViewBreak}) {
+				t.Error("corrupt on a dead node reported a mutation")
+			}
+			e.Leave(a)
+			if got := len(pop.durable(a)); got != 1 {
+				t.Errorf("dead node holds %d durable subscriptions, want 1", got)
 			}
 
 			e.Restart(a)
@@ -409,7 +426,7 @@ func TestEngineContractParity(t *testing.T) {
 				if snaps = e.StructuralSnapshot(a); len(snaps) > 0 {
 					break
 				}
-				time.Sleep(2 * time.Millisecond)
+				e.AwaitStep(e.Now() + 1)
 			}
 			total := 0
 			for _, s := range snaps {
@@ -440,11 +457,12 @@ func contains(ids []sim.NodeID, want sim.NodeID) bool {
 	return false
 }
 
-// Compile-time contract: every conformance engine serves as the chaos
-// checker's read-only Target, the injector's fault surface, and the
-// injector's population.
+// Compile-time contract: the driver serves as the chaos checker's
+// read-only Target, the injector's fault surface, its population and its
+// corruptor.
 var (
-	_ chaos.Target       = Engine(nil)
-	_ chaos.FaultSurface = Engine(nil)
-	_ chaos.Population   = Engine(nil)
+	_ chaos.Target       = (*driver)(nil)
+	_ chaos.FaultSurface = (*driver)(nil)
+	_ chaos.Population   = (*driver)(nil)
+	_ chaos.Corruptor    = (*driver)(nil)
 )

@@ -256,19 +256,6 @@ func Run(opts Options) (*Result, error) {
 	return res, nil
 }
 
-// newEngine builds the named engine over fresh population bookkeeping.
-func newEngine(name string, opts Options, pop *population, rec *recorder) (Engine, error) {
-	switch name {
-	case EngineSim:
-		return newSimEngine(opts, pop, rec), nil
-	case EngineLive:
-		return newLiveEngine(opts, pop, rec), nil
-	case EngineTCP:
-		return newTCPEngine(opts, pop, rec)
-	}
-	return nil, fmt.Errorf("conform: unknown engine %q", name)
-}
-
 // runScenarioOn builds a fresh overlay on the named engine, replays the
 // scenario timeline with the invariant checker attached, and judges
 // convergence.
@@ -282,34 +269,9 @@ func runScenarioOn(name string, sc chaos.Scenario, opts Options) (*EngineRun, er
 	}
 	defer e.Close()
 	began := time.Now()
-
-	// Bootstrap: the two-wave subscription plan, 25 subscriptions per
-	// step, with the same settle windows the experiment cluster uses.
-	plan := buildPlan(pop, opts.Nodes, e.AddNode)
-	feed := func(jobs []plannedSub) error {
-		for len(jobs) > 0 {
-			k := 25
-			if k > len(jobs) {
-				k = len(jobs)
-			}
-			for _, j := range jobs[:k] {
-				if err := e.Subscribe(j.id, j.sub); err != nil {
-					return fmt.Errorf("conform: %s bootstrap subscribe: %w", name, err)
-				}
-			}
-			jobs = jobs[k:]
-			e.AwaitStep(e.Now() + 1)
-		}
-		return nil
-	}
-	if err := feed(plan.creators); err != nil {
+	if err := e.bootstrap(opts.Nodes); err != nil {
 		return nil, err
 	}
-	e.AwaitStep(e.Now() + 25) // groups settle before the join wave
-	if err := feed(plan.joiners); err != nil {
-		return nil, err
-	}
-	e.AwaitStep(e.Now() + 120) // settle joins, co-leader announcements, adoption
 
 	checker := chaos.NewChecker(e, chaos.CheckerOptions{LeaderMode: true})
 	checker.Enable(true)
@@ -329,7 +291,7 @@ func runScenarioOn(name string, sc chaos.Scenario, opts Options) (*EngineRun, er
 		inj.Step(start + rel)
 		if opts.EventEvery > 0 && rel%int64(opts.EventEvery) == 0 {
 			evID++
-			publishTracked(e, rec, gen, pubRng, evID)
+			publishTracked(e, gen, pubRng, evID)
 		}
 		if rel%opts.CheckEvery == 0 {
 			checker.Check(e.Now())
@@ -404,7 +366,7 @@ func runScenarioOn(name string, sc chaos.Scenario, opts Options) (*EngineRun, er
 // publishTracked publishes one oracle-tracked event from a
 // deterministically drawn live publisher. The draw is consumed even when
 // no publisher exists, keeping the random stream aligned across engines.
-func publishTracked(e Engine, rec *recorder, gen *workload.Generator, rng *rand.Rand, ev core.EventID) {
+func publishTracked(e *driver, gen *workload.Generator, rng *rand.Rand, ev core.EventID) {
 	event := gen.Event()
 	draw := rng.Int63()
 	alive := e.AliveIDs()
@@ -412,7 +374,7 @@ func publishTracked(e Engine, rec *recorder, gen *workload.Generator, rng *rand.
 		return
 	}
 	publisher := alive[draw%int64(len(alive))]
-	rec.publish(ev, event, alive)
+	e.rec.publish(ev, event, alive)
 	if err := e.Publish(publisher, ev, event); err != nil {
 		// The publisher crashed between the draw and the call (possible
 		// only through engine teardown races); the event stays tracked

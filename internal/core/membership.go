@@ -61,32 +61,8 @@ func (n *membershipSys) subscribe(sub filter.Subscription) error {
 		// folded walk hit the raced-unsubscribe paths and dissolve
 		// harmlessly.
 		if jm := n.widenCandidate(af); jm != nil {
-			n.foldWalkUnder(jm, af, []filter.Subscription{sub})
+			n.foldWalkUnder(jm, af, sub)
 			return nil
-		}
-		// Sibling merge (CoverMerge): another walk on this attribute is
-		// still in flight and the two filters union losslessly — widen
-		// the in-flight entry to their summary filter, fold both siblings
-		// under it as covered entries, and route one entry instead of
-		// two. Only exact unions merge: a hull with a gap would pull
-		// event traffic neither subscription wants.
-		if n.cfg.CoverMerge {
-			if jm := n.mergeCandidate(af); jm != nil {
-				if merged, okM := filter.MergeAttrFiltersExact(jm.af, af); okM {
-					// The summary label must be fresh: colliding with
-					// another membership or covered entry would splice
-					// unrelated state — fall back to a plain walk instead.
-					_, groupClash := n.groups[merged.Key()]
-					_, coverClash := n.covered[merged.Key()]
-					if !groupClash && !coverClash {
-						n.addCover(af.Key(), &coverEntry{
-							af: af, coverer: merged.Key(), subs: []filter.Subscription{sub}})
-						n.indexSub(sub)
-						n.foldWalkUnder(jm, merged, nil)
-						return nil
-					}
-				}
-			}
 		}
 	}
 	m := &membership{
@@ -141,42 +117,22 @@ func (n *membershipSys) widenCandidate(af filter.AttrFilter) *membership {
 	return nil
 }
 
-// mergeCandidate returns the first in-flight walk (join order) on af's
-// attribute whose filter is incomparable with af — a sibling eligible for
-// summary merging — or nil. Walks with an inclusion relation are handled
-// by the covering stop / widening cases; walks that already grew shared
-// group state must keep their label and are left alone.
-func (n *membershipSys) mergeCandidate(af filter.AttrFilter) *membership {
-	for _, key := range n.joinOrder {
-		jm := n.joining[key]
-		if jm.isRoot || jm.af.IsUniversal() || jm.af.Attr() != af.Attr() {
-			continue
-		}
-		if coverFoldable(jm) && !jm.af.Includes(af) && !af.Includes(jm.af) {
-			return jm
-		}
-	}
-	return nil
-}
-
 // foldWalkUnder relabels the in-flight membership jm to the strictly wider
 // filter wider: jm's former filter becomes a covering entry riding on the
-// wider label, subs (the wider filter's own subscriptions, may be nil)
-// seed the relabeled membership, and the walk restarts under the new
+// wider label, sub (the wider filter's own subscription) seeds the
+// relabeled membership, and the walk restarts under the new
 // label. In-flight answers for the old label find no membership and take
 // the raced-unsubscribe exits (handleCreateGroup / handleJoinAccept).
-func (n *membershipSys) foldWalkUnder(jm *membership, wider filter.AttrFilter, subs []filter.Subscription) {
+func (n *membershipSys) foldWalkUnder(jm *membership, wider filter.AttrFilter, sub filter.Subscription) {
 	old := jm.af
 	n.dropMembership(old.Key())
 	// Edges riding on the old label ride on the wider one: a strictly
 	// wider filter still includes every covered filter.
 	n.retargetCoverEdges(old.Key(), wider.Key())
 	n.addCover(old.Key(), &coverEntry{af: old, coverer: wider.Key(), subs: jm.subs})
-	for _, s := range subs {
-		n.indexSub(s)
-	}
+	n.indexSub(sub)
 	jm.af = wider
-	jm.subs = subs
+	jm.subs = []filter.Subscription{sub}
 	jm.retries = 0
 	n.addGroup(wider.Key(), jm)
 	n.addJoining(wider.Key(), jm)

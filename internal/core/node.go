@@ -83,16 +83,16 @@ func NewNode(cfg Config) (*Node, error) {
 		// so covering is only sound under leader-based communication.
 		return nil, errors.New("core: CoverRouting requires leader-based communication")
 	}
-	if cfg.CoverMerge && !cfg.CoverRouting {
-		return nil, errors.New("core: CoverMerge requires CoverRouting")
-	}
 	if cfg.CoverRouting && !cfg.StrictRepair {
-		// Summary labels from sibling merging can be derived concurrently
-		// by several nodes, so covering multiplies duplicate-instance
-		// creations — the races (leadership deference cycles, unanswerable
-		// re-walks) that only the StrictRepair extensions resolve
-		// boundedly. Without them a merged-label walk can livelock
-		// forever, stranding the subscriptions covered under it.
+		// Covering restarts walks: the widening fold relabels an
+		// in-flight walk to a wider filter, and unsubscribing a coverer
+		// re-propagates everything it covered. Restarted walks race
+		// walks other nodes run for the same filters, so covering
+		// multiplies duplicate-instance creations — the races
+		// (leadership deference cycles, unanswerable re-walks) that only
+		// the StrictRepair extensions resolve boundedly. Without them a
+		// relabeled walk can livelock forever, stranding the
+		// subscriptions covered under it.
 		return nil, errors.New("core: CoverRouting requires StrictRepair")
 	}
 	n := &Node{

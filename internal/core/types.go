@@ -167,8 +167,9 @@ type Config struct {
 	// outbound event messages coalesce per destination and go out as one
 	// batchedEvents frame per link per tick, with the per-destination
 	// message order preserved exactly. Off by default so the pinned paper
-	// experiments replay byte-identical traces; the throughput experiment
-	// and the live deployments switch it on.
+	// experiments replay byte-identical traces. Only the throughput
+	// experiment and the batched conformance and experiment variants
+	// switch it on; the dps facade and dps-node leave it off.
 	BatchEvents bool
 
 	// CoverRouting turns on the subscription-covering layer: before a
@@ -188,19 +189,6 @@ type Config struct {
 	// default so the pinned paper experiments (Table 1 protocol, Fig. 3a)
 	// replay byte-identical traces.
 	CoverRouting bool
-
-	// CoverMerge additionally merges two incomparable sibling walks on
-	// one attribute into their summary filter (the lossless unions of
-	// filter.MergeAttrFiltersExact), widening one routed entry instead of
-	// adding one. Unlike the covering stop and the widening fold — which
-	// only ever reuse filters real subscriptions route anyway — a merged
-	// summary is a synthetic label: under workloads where many nodes
-	// share the same narrow filters, those groups keep existing through
-	// the other nodes and the summary becomes an extra tree stop, so
-	// merging trades routing bytes (always down) against tree forwards
-	// (up when filters are popular, down when they are rare). Off by
-	// default; requires CoverRouting.
-	CoverMerge bool
 
 	// Directory is the attribute→tree bootstrap service shared by the
 	// deployment (see Directory). Required.
