@@ -47,6 +47,10 @@ import (
 type BenchMetric struct {
 	MSPerOp     float64 `json:"ms_per_op"`
 	AllocsPerOp float64 `json:"allocs_per_op,omitempty"`
+	// ZeroAllocs records a measured 0 allocs/op (as opposed to a run
+	// without -benchmem). A zero baseline has no ratio to take a
+	// tolerance of, so against it any allocation fails.
+	ZeroAllocs bool `json:"zero_allocs,omitempty"`
 }
 
 // Baseline is the committed BENCH_baseline.json document.
@@ -196,6 +200,9 @@ func compare(base, current Baseline, limits compareLimits) []string {
 		curM := current.Benchmarks[name]
 		checkTime(name, "ms/op", baseM.MSPerOp, curM.MSPerOp)
 		check(name, "allocs/op", baseM.AllocsPerOp, curM.AllocsPerOp, limits.AllocTol)
+		if baseM.ZeroAllocs && curM.AllocsPerOp > 0 {
+			failures = append(failures, fmt.Sprintf("%s allocs/op: 0 -> %.0f", name, curM.AllocsPerOp))
+		}
 	}
 	expNames := make([]string, 0, len(current.Experiments))
 	for name := range current.Experiments {
@@ -259,6 +266,7 @@ func parseBenchOutput(path string) (map[string]BenchMetric, error) {
 		metric := BenchMetric{MSPerOp: ns / 1e6}
 		if am := allocsField.FindStringSubmatch(m[3]); am != nil {
 			metric.AllocsPerOp, _ = strconv.ParseFloat(am[1], 64)
+			metric.ZeroAllocs = metric.AllocsPerOp == 0
 		}
 		out[m[1]] = metric
 	}

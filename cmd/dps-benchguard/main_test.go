@@ -158,6 +158,42 @@ func TestCompareTolerance(t *testing.T) {
 	}
 }
 
+// TestCompareZeroAllocBaseline: a benchmark measured at 0 allocs/op is
+// gated at zero — any allocation fails — while a baseline recorded
+// without -benchmem does not gate allocations at all.
+func TestCompareZeroAllocBaseline(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "bench.txt")
+	if err := os.WriteFile(path, []byte(sampleBench), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	metrics, err := parseBenchOutput(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !metrics["BenchmarkWireCodecVsGob/codec-encode"].ZeroAllocs {
+		t.Error("a measured 0 allocs/op was not recorded as such")
+	}
+	if metrics["BenchmarkTable1Protocol"].ZeroAllocs {
+		t.Error("a nonzero alloc count was recorded as zero")
+	}
+	base := Baseline{Benchmarks: map[string]BenchMetric{
+		"Zero":    {MSPerOp: 0.0001, ZeroAllocs: true},
+		"Untimed": {MSPerOp: 0.0001},
+	}}
+	limits := compareLimits{AllocTol: 0.15, TimeTol: 0.15, MinTimeMS: 1}
+	if got := compare(base, Baseline{Benchmarks: map[string]BenchMetric{
+		"Zero": {MSPerOp: 0.0001, ZeroAllocs: true},
+	}}, limits); len(got) != 0 {
+		t.Errorf("zero stayed zero but failed: %v", got)
+	}
+	if got := compare(base, Baseline{Benchmarks: map[string]BenchMetric{
+		"Zero":    {MSPerOp: 0.0001, AllocsPerOp: 1},
+		"Untimed": {MSPerOp: 0.0001, AllocsPerOp: 5},
+	}}, limits); len(got) != 1 {
+		t.Errorf("want exactly the zero-alloc regression, got %v", got)
+	}
+}
+
 func TestCompareTimeNoiseFloorAndSplitTolerance(t *testing.T) {
 	base := Baseline{
 		Benchmarks:  map[string]BenchMetric{"Tiny": {MSPerOp: 0.0001, AllocsPerOp: 4}, "Big": {MSPerOp: 100}},

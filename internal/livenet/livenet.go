@@ -1,5 +1,5 @@
 // Package livenet is the live, asynchronous runtime for DPS peers: each
-// peer runs in its own goroutine with a channel inbox, wall-clock ticks
+// peer runs in its own goroutine fed by a sim.Mailbox, wall-clock ticks
 // drive the protocol's periodic work, and the shared Hub routes messages
 // between peers. It implements the same sim.Env contract as the cycle
 // engine, so the protocol code in internal/core runs unchanged.
@@ -32,8 +32,10 @@ type Config struct {
 	// timeouts (heartbeats, grace periods) are expressed in steps.
 	// Defaults to 10ms.
 	TickEvery time.Duration
-	// InboxSize is each peer's buffered inbox; a full inbox drops
-	// messages. Defaults to 4096.
+	// InboxSize bounds the messages waiting in each peer's inbox; a
+	// message beyond it is dropped. Commands from Do are admitted past
+	// the bound. Inbox memory follows what is queued, not this bound.
+	// Defaults to 4096.
 	InboxSize int
 	// Seed derives the per-peer deterministic random streams.
 	Seed int64
@@ -98,20 +100,13 @@ func (h *Hub) runClock() {
 // Now returns the current logical step.
 func (h *Hub) Now() int64 { return h.clock.Load() }
 
-// inboxItem is one unit of peer work: a message or a control command.
-type inboxItem struct {
-	from sim.NodeID
-	msg  any
-	cmd  func() // command executed in the peer goroutine; msg is nil
-}
-
 // Peer is one live DPS node. Protocol handlers run exclusively in the
 // peer's goroutine; external calls are funneled through Do.
 type Peer struct {
 	id    sim.NodeID
 	hub   *Hub
 	proc  sim.Process
-	inbox chan inboxItem
+	inbox *sim.Mailbox
 	rng   *rand.Rand
 	stop  chan struct{}
 	done  chan struct{}
@@ -148,7 +143,7 @@ func (h *Hub) AddPeer(id sim.NodeID, proc sim.Process) (*Peer, error) {
 		id:    id,
 		hub:   h,
 		proc:  proc,
-		inbox: make(chan inboxItem, h.cfg.InboxSize),
+		inbox: sim.NewMailbox(h.cfg.InboxSize),
 		rng:   rand.New(rand.NewSource(h.cfg.Seed ^ (int64(id)+1)*mix ^ incarnation<<7)),
 		stop:  make(chan struct{}),
 		done:  make(chan struct{}),
@@ -173,9 +168,7 @@ func (h *Hub) route(from, to sim.NodeID, msg any) {
 	if h.faults.Drop(from, to) != 0 {
 		return
 	}
-	select {
-	case target.inbox <- inboxItem{from: from, msg: msg}:
-	default:
+	if !target.inbox.PutMessage(from, msg) {
 		target.dropped.Add(1)
 	}
 }
@@ -191,12 +184,8 @@ func (p *Peer) run() {
 		select {
 		case <-p.stop:
 			return
-		case item := <-p.inbox:
-			if item.cmd != nil {
-				item.cmd()
-				continue
-			}
-			p.proc.OnMessage(item.from, item.msg)
+		case <-p.inbox.Wake():
+			p.inbox.Deliver(p.proc)
 		case <-ticker.C:
 			p.proc.OnTick()
 		}
@@ -207,16 +196,16 @@ func (p *Peer) run() {
 // way to touch protocol state from outside (core nodes are not
 // thread-safe by design; each is single-goroutine).
 func (p *Peer) Do(fn func()) error {
-	doneCh := make(chan struct{})
-	item := inboxItem{cmd: func() {
-		defer close(doneCh)
-		fn()
-	}}
 	select {
-	case p.inbox <- item:
 	case <-p.stop:
 		return errors.New("livenet: peer stopped")
+	default:
 	}
+	doneCh := make(chan struct{})
+	p.inbox.PutCommand(func() {
+		defer close(doneCh)
+		fn()
+	})
 	select {
 	case <-doneCh:
 		return nil

@@ -38,7 +38,10 @@ type Config struct {
 	TickEvery time.Duration
 	// Seed drives the node's deterministic random stream.
 	Seed int64
-	// InboxSize bounds buffered inbound work; overflow drops (default 4096).
+	// InboxSize bounds the inbound messages waiting for the node; a
+	// message beyond it is dropped. Commands from Do are admitted past
+	// the bound. Inbox memory follows what is queued, not this bound.
+	// Defaults to 4096.
 	InboxSize int
 	// Faults, when set, is the deployment-shared fault topology (link
 	// cuts, partition classes, loss windows) this transport consults on
@@ -53,6 +56,7 @@ type Transport struct {
 	cfg  Config
 	proc sim.Process
 	ln   net.Listener
+	addr string // ln's address, formatted once: every frame carries it
 	rng  *rand.Rand
 
 	clock atomic.Int64
@@ -62,7 +66,7 @@ type Transport struct {
 	conns   map[sim.NodeID]*outConn
 	inConns map[net.Conn]bool
 
-	inbox   chan inboxItem
+	inbox   *sim.Mailbox
 	stop    chan struct{}
 	done    chan struct{}
 	wg      sync.WaitGroup
@@ -75,22 +79,18 @@ type Transport struct {
 	flushQ []*outConn
 }
 
-type inboxItem struct {
-	from sim.NodeID
-	msg  any
-	cmd  func()
-}
-
 // outConn is one outbound connection plus its pending write buffer: a
 // pooled encoder frames accumulate in until the next flush (see send and
-// flushPending). enc, pendFrames and queued belong to the mainLoop
-// goroutine; mu guards the socket write against Close.
+// flushPending). The connection holds the encoder only while frames are
+// pending — an idle link keeps no write buffer. enc, pendFrames and
+// queued belong to the mainLoop goroutine; mu guards the socket write
+// against Close.
 type outConn struct {
 	mu   sync.Mutex
 	conn net.Conn
 	to   sim.NodeID
 
-	enc        *wire.Encoder // pending frames, encoded in place
+	enc        *wire.Encoder // pending frames, encoded in place; nil when none
 	pendFrames int           // frames in enc (drop accounting on error)
 	queued     bool          // already on the transport's flush queue
 }
@@ -131,11 +131,12 @@ func New(cfg Config, proc sim.Process) (*Transport, error) {
 		cfg:     cfg,
 		proc:    proc,
 		ln:      ln,
+		addr:    ln.Addr().String(),
 		rng:     rand.New(rand.NewSource(cfg.Seed ^ int64(cfg.ID)*0x5DEECE66D)),
 		book:    make(map[sim.NodeID]string),
 		conns:   make(map[sim.NodeID]*outConn),
 		inConns: make(map[net.Conn]bool),
-		inbox:   make(chan inboxItem, cfg.InboxSize),
+		inbox:   sim.NewMailbox(cfg.InboxSize),
 		stop:    make(chan struct{}),
 		done:    make(chan struct{}),
 	}
@@ -147,7 +148,7 @@ func New(cfg Config, proc sim.Process) (*Transport, error) {
 }
 
 // Addr returns the bound listen address.
-func (t *Transport) Addr() string { return t.ln.Addr().String() }
+func (t *Transport) Addr() string { return t.addr }
 
 // AddPeer teaches the transport where to reach another node.
 func (t *Transport) AddPeer(id sim.NodeID, addr string) {
@@ -163,12 +164,13 @@ func (t *Transport) Dropped() int64 { return t.dropped.Load() }
 // Do runs fn on the node's goroutine — the only safe way to call
 // Subscribe/Publish on the hosted core.Node.
 func (t *Transport) Do(fn func()) error {
-	ch := make(chan struct{})
 	select {
-	case t.inbox <- inboxItem{cmd: func() { defer close(ch); fn() }}:
 	case <-t.stop:
 		return errors.New("tcpnet: transport closed")
+	default:
 	}
+	ch := make(chan struct{})
+	t.inbox.PutCommand(func() { defer close(ch); fn() })
 	select {
 	case <-ch:
 		return nil
@@ -212,12 +214,8 @@ func (t *Transport) mainLoop() {
 		select {
 		case <-t.stop:
 			return
-		case item := <-t.inbox:
-			if item.cmd != nil {
-				item.cmd()
-			} else {
-				t.proc.OnMessage(item.from, item.msg)
-			}
+		case <-t.inbox.Wake():
+			t.inbox.Deliver(t.proc)
 		case <-ticker.C:
 			t.clock.Add(1)
 			t.proc.OnTick()
@@ -282,11 +280,7 @@ func (t *Transport) readLoop(conn net.Conn) {
 		if addr != "" {
 			t.AddPeer(from, addr) // learn return paths
 		}
-		select {
-		case t.inbox <- inboxItem{from: from, msg: payload}:
-		case <-t.stop:
-			return
-		default:
+		if !t.inbox.PutMessage(from, payload) {
 			t.dropped.Add(1)
 		}
 	}
@@ -317,7 +311,7 @@ func (t *Transport) send(to sim.NodeID, msg any) {
 			t.dropped.Add(1)
 			return
 		}
-		c = &outConn{conn: conn, to: to, enc: wire.GetEncoder()}
+		c = &outConn{conn: conn, to: to}
 		t.mu.Lock()
 		if old := t.conns[to]; old != nil {
 			t.mu.Unlock()
@@ -328,12 +322,18 @@ func (t *Transport) send(to sim.NodeID, msg any) {
 			t.mu.Unlock()
 		}
 	}
-	buf, err := appendTransportFrame(c.enc.Buf, t.cfg.ID, t.Addr(), msg)
+	if c.enc == nil {
+		c.enc = wire.GetEncoder()
+	}
+	buf, err := appendTransportFrame(c.enc.Buf, t.cfg.ID, t.addr, msg)
 	c.enc.Buf = buf // on error the frame is truncated away, pending stays
 	if err != nil {
 		// Unencodable payload (not a protocol message, or over the frame
 		// bound): the connection is fine, the message is not.
 		t.dropped.Add(1)
+		if c.pendFrames == 0 {
+			c.releaseEncoder()
+		}
 		return
 	}
 	c.pendFrames++
@@ -359,21 +359,21 @@ func (t *Transport) flushPending() {
 	}
 }
 
-// flushConn writes one connection's pending frames in a single syscall.
-// A write error drops the connection and accounts every buffered frame
-// as lost; the next send re-dials. The pooled encoder goes back to the
-// pool on that path — by then nothing aliases its buffer.
+// flushConn writes one connection's pending frames in a single syscall
+// and gives the encoder back to the pool — once written, nothing aliases
+// its buffer. A write error drops the connection and accounts every
+// buffered frame as lost; the next send re-dials.
 func (t *Transport) flushConn(c *outConn) {
 	n := c.pendFrames
 	c.pendFrames = 0
 	c.queued = false
-	if n == 0 || c.enc == nil || c.enc.Len() == 0 {
+	if n == 0 {
 		return
 	}
 	c.mu.Lock()
 	_, err := c.conn.Write(c.enc.Buf)
 	c.mu.Unlock()
-	c.enc.Reset()
+	c.releaseEncoder()
 	if err != nil {
 		// Connection went bad: forget it; the next send re-dials.
 		t.mu.Lock()
@@ -383,8 +383,11 @@ func (t *Transport) flushConn(c *outConn) {
 		t.mu.Unlock()
 		_ = c.conn.Close()
 		t.dropped.Add(int64(n))
-		enc := c.enc
-		c.enc = nil
-		wire.PutEncoder(enc)
 	}
+}
+
+// releaseEncoder returns the connection's encoder to the pool.
+func (c *outConn) releaseEncoder() {
+	wire.PutEncoder(c.enc)
+	c.enc = nil
 }

@@ -2,6 +2,7 @@ package tcpnet
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -175,6 +176,71 @@ func TestSendToUnknownPeerDrops(t *testing.T) {
 func heartbeatProbe() any {
 	ev, _ := filter.ParseEvent("x=1")
 	return ev
+}
+
+// gateProc blocks in its first OnMessage until released and counts
+// every message it handles.
+type gateProc struct {
+	release chan struct{}
+	entered atomic.Bool
+	handled atomic.Int64
+}
+
+func (*gateProc) Attach(sim.Env) {}
+func (p *gateProc) OnMessage(sim.NodeID, any) {
+	if p.handled.Add(1) == 1 {
+		p.entered.Store(true)
+		<-p.release
+	}
+}
+func (*gateProc) OnTick() {}
+
+// TestInboxOverflowDrops is the TCP twin of livenet's test of the same
+// name: while the node holds one message in hand, exactly InboxSize more
+// wait and the rest of a burst is dropped — no more, no fewer.
+func TestInboxOverflowDrops(t *testing.T) {
+	const inbox, burst = 4, 50
+	slow := &gateProc{release: make(chan struct{})}
+	recv, err := New(Config{ID: 2, Listen: "127.0.0.1:0", TickEvery: time.Hour, InboxSize: inbox}, slow)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer recv.Close()
+	defer close(slow.release) // runs first: unblock the handler before Close waits on it
+	send := startFlushTransport(t, 1)
+	send.AddPeer(2, recv.Addr())
+	msg := core.WireSamples()[0]
+
+	if err := send.Do(func() { send.send(2, msg) }); err != nil {
+		t.Fatal(err)
+	}
+	if !waitUntil(t, 5*time.Second, slow.entered.Load) {
+		t.Fatal("receiver never started handling the first message")
+	}
+	if err := send.Do(func() {
+		for i := 0; i < burst; i++ {
+			send.send(2, msg)
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if !waitUntil(t, 5*time.Second, func() bool { return recv.Dropped() >= burst-inbox }) {
+		t.Fatalf("dropped %d of the burst, want %d", recv.Dropped(), burst-inbox)
+	}
+	// Commands are admitted past the bound: Do on the full inbox must
+	// queue, and runs once the handler is released.
+	ran := make(chan error, 1)
+	go func() { ran <- recv.Do(func() {}) }()
+	slow.release <- struct{}{}
+	if err := <-ran; err != nil {
+		t.Fatalf("Do on a full inbox: %v", err)
+	}
+	if got := recv.Dropped(); got != burst-inbox {
+		t.Errorf("dropped %d, want exactly %d", got, burst-inbox)
+	}
+	if got := slow.handled.Load(); got != 1+inbox {
+		t.Errorf("handled %d messages, want %d (one in hand plus the inbox)", got, 1+inbox)
+	}
 }
 
 func TestDirectoryServiceRoundTrip(t *testing.T) {

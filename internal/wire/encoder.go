@@ -15,6 +15,11 @@ import "sync"
 // honours the mirror-image rule: wire.Reader.String copies, so decoded
 // messages never alias a recycled buffer (pinned by
 // TestPooledEncoderAliasing in internal/tcpnet).
+//
+// The pool is also the body buffer of frames too large for a frame
+// reader's small read buffer: the reader borrows an Encoder for one such
+// frame and returns it on its next read, so no connection keeps a
+// buffer sized to its largest frame.
 type Encoder struct {
 	Buf []byte
 }
@@ -22,8 +27,13 @@ type Encoder struct {
 // Reset truncates the buffer, retaining capacity.
 func (e *Encoder) Reset() { e.Buf = e.Buf[:0] }
 
-// Len returns the number of pending bytes.
-func (e *Encoder) Len() int { return len(e.Buf) }
+// Len returns the number of pending bytes; a nil Encoder holds none.
+func (e *Encoder) Len() int {
+	if e == nil {
+		return 0
+	}
+	return len(e.Buf)
+}
 
 // maxRetainedCap bounds the capacity a pooled encoder may keep: one
 // pathological burst must not pin megabytes in the pool forever.
